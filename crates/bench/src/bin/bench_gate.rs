@@ -19,17 +19,15 @@
 //! The committed `BENCH_baseline.json` carries the tolerances; `check`
 //! applies the *baseline's* policy to the current measurements.
 
-use std::sync::Arc;
 use std::time::Instant;
 
 use qr3d_bench::report::{BenchReport, GateMode};
 use qr3d_bench::{
     executor_warm_vs_cold_secs, run_caqr1d, run_caqr3d, run_cholqr2, run_cholqr2_batch,
-    run_cholqr2_batch_over, run_pivotqr, run_rrqr, run_tsqr, run_tsqr_ft, run_tsqr_over,
-    run_updating, service_closed_loop, spawn_per_request_closed_loop, streaming_vs_refactor_secs,
+    run_pivotqr, run_rrqr, run_tsqr, run_tsqr_ft, run_updating, service_closed_loop,
+    spawn_per_request_closed_loop, streaming_vs_refactor_secs,
 };
 use qr3d_core::prelude::Caqr3dConfig;
-use qr3d_machine::{MpscTransport, RingTransport, Transport};
 use qr3d_matrix::gemm::{gemm, gemm_reference, Trans};
 use qr3d_matrix::par;
 use qr3d_matrix::qr::{geqrt, geqrt_reference};
@@ -131,31 +129,6 @@ fn emit() -> BenchReport {
         GateMode::Ge,
         0.25,
     );
-
-    // -- Transport independence. Every flop, word, and clock merge is
-    // charged above the `Transport` boundary, so swapping the message
-    // substrate must not move a single charged message: both ratios are
-    // deterministic-over-deterministic and gated exactly at 1. --
-    {
-        let ring = || -> Arc<dyn Transport> { Arc::new(RingTransport::default()) };
-        let mpsc = || -> Arc<dyn Transport> { Arc::new(MpscTransport) };
-        let tsqr_ring = run_tsqr_over(ring(), 512, 16, 8, 7);
-        let tsqr_mpsc = run_tsqr_over(mpsc(), 512, 16, 8, 7);
-        report.push(
-            "ratio/tsqr_msgs_ring_over_mpsc",
-            tsqr_ring.msgs / tsqr_mpsc.msgs,
-            GateMode::Eq,
-            1e-9,
-        );
-        let batch_ring = run_cholqr2_batch_over(ring(), 512, 16, 8, k, 7);
-        let batch_mpsc = run_cholqr2_batch_over(mpsc(), 512, 16, 8, k, 7);
-        report.push(
-            "ratio/cholqr2_batch8_msgs_ring_over_mpsc",
-            batch_ring.msgs / batch_mpsc.msgs,
-            GateMode::Eq,
-            1e-9,
-        );
-    }
 
     // Warm-executor serving throughput: the same TSQR job stream through
     // one persistent executor vs cold per-call `Machine::run` spawning.

@@ -130,10 +130,10 @@ pub fn run_cholqr2_batch(m: usize, n: usize, p: usize, k: usize, seed: u64) -> C
     batch.critical
 }
 
-/// `run_tsqr` with the message substrate chosen explicitly instead of
-/// from `QR3D_TRANSPORT`. The charged clocks live above the
-/// [`Transport`] boundary, so the bench gate pins this clock against
-/// the mpsc one: the ratio of their message counts must be exactly 1.
+/// `run_tsqr` over an explicit message substrate instead of the
+/// machine's default channel. The charged clocks live above the
+/// [`Transport`] boundary, so the pinned-records tests assert this
+/// clock is bitwise identical on the unbounded and a bounded channel.
 pub fn run_tsqr_over(
     transport: Arc<dyn Transport>,
     m: usize,
@@ -157,7 +157,7 @@ pub fn run_tsqr_over(
 /// `run_cholqr2_batch` with the message substrate chosen explicitly —
 /// the fused batch shares one reduction tree across problems, the
 /// heaviest traffic pattern in the repo, so it is the other
-/// transport-independence record the bench gate pins.
+/// transport-independence clock the pinned-records tests check.
 pub fn run_cholqr2_batch_over(
     transport: Arc<dyn Transport>,
     m: usize,

@@ -16,7 +16,7 @@ use qr3d_bench::{
     run_rrqr, run_tsqr, run_tsqr_ft, run_tsqr_over, run_updating,
 };
 use qr3d_core::prelude::Caqr3dConfig;
-use qr3d_machine::{Clock, MpscTransport, RingTransport};
+use qr3d_machine::{Clock, MpscTransport};
 
 fn baseline() -> BenchReport {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_baseline.json");
@@ -131,34 +131,22 @@ fn the_updating_qr_records_are_bitwise_pinned() {
 }
 
 #[test]
-fn the_transport_message_ratios_are_exactly_one() {
-    // The transport-fabric acceptance relation: the full clock — not
-    // just messages — must be bitwise identical whichever substrate
-    // moves the envelopes, because every charge happens above the
-    // `Transport` boundary. The baseline stores the message ratios;
-    // this test pins the whole clocks and then the ratios themselves.
-    let base = baseline();
-    let tsqr_ring = run_tsqr_over(Arc::new(RingTransport::default()), 512, 16, 8, 7);
-    let tsqr_mpsc = run_tsqr_over(Arc::new(MpscTransport), 512, 16, 8, 7);
+fn the_transport_clocks_are_bitwise_identical() {
+    // The transport-fabric acceptance relation: the full clock must be
+    // bitwise identical whether or not the channel applies backpressure,
+    // because every charge happens above the `Transport` boundary.
+    // Capacity 1 makes every sender wait on its receiver.
+    let unbounded = || Arc::new(MpscTransport::default());
+    let bounded = || Arc::new(MpscTransport::bounded(1));
     assert_eq!(
-        tsqr_ring, tsqr_mpsc,
+        run_tsqr_over(unbounded(), 512, 16, 8, 7),
+        run_tsqr_over(bounded(), 512, 16, 8, 7),
         "tsqr clock diverged across transports"
     );
     assert_eq!(
-        tsqr_ring.msgs / tsqr_mpsc.msgs,
-        pinned(&base, "ratio/tsqr_msgs_ring_over_mpsc"),
-        "tsqr ring/mpsc message ratio drifted"
-    );
-    let batch_ring = run_cholqr2_batch_over(Arc::new(RingTransport::default()), 512, 16, 8, 8, 7);
-    let batch_mpsc = run_cholqr2_batch_over(Arc::new(MpscTransport), 512, 16, 8, 8, 7);
-    assert_eq!(
-        batch_ring, batch_mpsc,
+        run_cholqr2_batch_over(unbounded(), 512, 16, 8, 8, 7),
+        run_cholqr2_batch_over(bounded(), 512, 16, 8, 8, 7),
         "fused-batch clock diverged across transports"
-    );
-    assert_eq!(
-        batch_ring.msgs / batch_mpsc.msgs,
-        pinned(&base, "ratio/cholqr2_batch8_msgs_ring_over_mpsc"),
-        "fused-batch ring/mpsc message ratio drifted"
     );
 }
 
@@ -214,8 +202,6 @@ fn baseline_cost_and_ratio_records_are_exactly_the_pinned_set() {
     expected.push("ratio/pivotqr_msgs_over_rrqr_msgs".into());
     expected.push("ratio/tsqr_words_over_cholqr2_words".into());
     expected.push("ratio/cholqr2_seq8_msgs_over_batch8_msgs".into());
-    expected.push("ratio/tsqr_msgs_ring_over_mpsc".into());
-    expected.push("ratio/cholqr2_batch8_msgs_ring_over_mpsc".into());
     expected.push("ratio/tsqr_ft_overhead_words".into());
     expected.sort_unstable();
     assert_eq!(

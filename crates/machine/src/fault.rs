@@ -1,7 +1,7 @@
 //! Deterministic fault injection: [`FaultyTransport`] wraps any inner
 //! [`Transport`] and executes a [`FaultPlan`] against the envelope
 //! stream, so every failure mode the fault-tolerant layers must survive
-//! is reproducible in tests — on both the mpsc and ring backends.
+//! is reproducible in tests — over the unbounded or the bounded channel.
 //!
 //! The decorator sits *below* the rank wrapper, at the same cut as the
 //! transports themselves: it sees raw [`Envelope`]s and knows nothing of
@@ -20,11 +20,11 @@
 //! Death is *silent and sticky*, modelling a machine that lost power:
 //! a dead rank's sends are swallowed (including poison wakeups — a dead
 //! machine cannot warn its peers), its receives report
-//! [`RecvTimedOut`] immediately, and — crucially for the bounded ring
-//! backend — *senders targeting a dead rank drop instead of parking*,
-//! so a full SPSC ring behind a dead consumer surfaces as the peer's
-//! clean receive timeout rather than a "full ring" sender panic, even
-//! at `QR3D_RING_CAP=1`.
+//! [`RecvTimedOut`] immediately, and — crucially for a
+//! [`bounded`](crate::MpscTransport::bounded) inner channel — *senders
+//! targeting a dead rank drop instead of waiting*, so a pair whose slots
+//! are all held by a dead consumer surfaces as the peer's clean receive
+//! timeout rather than a "no free slot" sender panic, even at capacity 1.
 //!
 //! Triggers are armed on the transport and consumed **globally, once**:
 //! a fresh [`connect`](Transport::connect) (e.g. a replacement executor
@@ -40,8 +40,8 @@ use std::time::Duration;
 use crate::executor::POISON_EPOCH;
 use crate::transport::{Endpoint, Envelope, RecvTimedOut, Transport};
 
-/// Environment variable seeding a [`FaultPlan`] onto the env-selected
-/// transport (see [`TRANSPORT_ENV`](crate::TRANSPORT_ENV)). Syntax:
+/// Environment variable seeding a [`FaultPlan`] onto the default
+/// transport of [`Machine::new`](crate::Machine::new). Syntax:
 /// semicolon-separated clauses —
 /// `kill:r=2,send=5`, `kill:r=2,recv=3`, `kill:r=1,level=2`,
 /// `drop:r=0,send=4`, `delay:r=0,send=4,ms=50`.
@@ -364,7 +364,7 @@ impl Endpoint for FaultyEndpoint {
             }
         }
         // A dead machine sends nothing; a live machine never blocks
-        // behind a dead consumer (its ring would fill forever) — in both
+        // behind a dead consumer (a bounded pair would never free a slot) — in both
         // cases the envelope vanishes and the peer's receive timeout is
         // the observable signal.
         if self.is_dead(self.me) || self.is_dead(dst) {
@@ -416,7 +416,6 @@ mod tests {
     use crate::clock::Clock;
     use crate::payload::Payload;
     use crate::transport::MpscTransport;
-    use crate::RingTransport;
 
     fn env(src: usize, tag: u64) -> Envelope {
         Envelope {
@@ -455,7 +454,10 @@ mod tests {
 
     #[test]
     fn kill_at_send_silences_the_rank() {
-        let t = FaultyTransport::wrap(Arc::new(MpscTransport), FaultPlan::new().kill_at_send(0, 2));
+        let t = FaultyTransport::wrap(
+            Arc::new(MpscTransport::default()),
+            FaultPlan::new().kill_at_send(0, 2),
+        );
         let mut eps = t.connect(2);
         let mut e1 = eps.pop().unwrap();
         let mut e0 = eps.pop().unwrap();
@@ -471,7 +473,10 @@ mod tests {
 
     #[test]
     fn kill_at_recv_discards_the_envelope() {
-        let t = FaultyTransport::wrap(Arc::new(MpscTransport), FaultPlan::new().kill_at_recv(1, 2));
+        let t = FaultyTransport::wrap(
+            Arc::new(MpscTransport::default()),
+            FaultPlan::new().kill_at_recv(1, 2),
+        );
         let mut eps = t.connect(2);
         let mut e1 = eps.pop().unwrap();
         let mut e0 = eps.pop().unwrap();
@@ -487,7 +492,7 @@ mod tests {
         // Tag convention: (op << 8) | (depth << 1) | phase.
         let tag = |depth: u64, phase: u64| (9u64 << 8) | (depth << 1) | phase;
         let t = FaultyTransport::wrap(
-            Arc::new(MpscTransport),
+            Arc::new(MpscTransport::default()),
             FaultPlan::new().kill_at_level(0, 1).kill_at_level(1, 2),
         );
         let mut eps = t.connect(2);
@@ -511,7 +516,7 @@ mod tests {
     #[test]
     fn drop_and_delay_leave_the_rank_alive() {
         let t = FaultyTransport::wrap(
-            Arc::new(MpscTransport),
+            Arc::new(MpscTransport::default()),
             FaultPlan::new()
                 .drop_send(0, 1)
                 .delay_send(0, 2, Duration::from_millis(20)),
@@ -530,9 +535,9 @@ mod tests {
     }
 
     #[test]
-    fn sender_never_parks_behind_a_dead_rank_even_at_ring_cap_one() {
+    fn sender_never_parks_behind_a_dead_rank_even_at_capacity_one() {
         let t = FaultyTransport::wrap(
-            Arc::new(RingTransport::with_capacity(1)),
+            Arc::new(MpscTransport::bounded(1)),
             FaultPlan::new().kill_at_recv(1, 1),
         );
         let mut eps = t.connect(2);
@@ -540,8 +545,8 @@ mod tests {
         let mut e0 = eps.pop().unwrap();
         e0.send(1, env(0, 1), short());
         assert!(e1.recv(short()).is_err(), "first delivery kills rank 1");
-        // Rank 1 is dead with capacity-1 rings; these sends must drop
-        // instead of parking until the "full ring" panic.
+        // Rank 1 is dead with one slot per pair; these sends must drop
+        // instead of waiting until the "no free slot" panic.
         for i in 0..8 {
             e0.send(1, env(0, 3 + i), short());
         }
@@ -554,7 +559,10 @@ mod tests {
 
     #[test]
     fn triggers_survive_reconnect_and_fire_once_globally() {
-        let t = FaultyTransport::wrap(Arc::new(MpscTransport), FaultPlan::new().kill_at_send(0, 1));
+        let t = FaultyTransport::wrap(
+            Arc::new(MpscTransport::default()),
+            FaultPlan::new().kill_at_send(0, 1),
+        );
         // First fabric: the fault fires.
         {
             let mut eps = t.connect(2);
@@ -575,7 +583,7 @@ mod tests {
     #[test]
     fn poison_traffic_is_neither_counted_nor_triggered() {
         let t = FaultyTransport::wrap(
-            Arc::new(MpscTransport),
+            Arc::new(MpscTransport::default()),
             FaultPlan::new().kill_at_send(0, 1).kill_at_recv(1, 1),
         );
         let mut eps = t.connect(2);

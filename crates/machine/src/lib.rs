@@ -30,16 +30,17 @@
 //! [`Workspace`] scratch arena so kernel inner loops can recycle buffers
 //! instead of allocating.
 //!
-//! *How* envelopes move between ranks is a [`Transport`] decision: the
-//! unbounded-channel [`MpscTransport`] (default) and the bounded SPSC
-//! [`RingTransport`] ship in-repo, selected per machine with
-//! [`Machine::with_transport`] or process-wide with [`TRANSPORT_ENV`].
+//! *How* envelopes move between ranks is a [`Transport`] decision. The
+//! in-process substrate is [`MpscTransport`]: one `std::sync::mpsc`
+//! channel per rank, unbounded by default, or capped per (sender,
+//! receiver) pair with [`MpscTransport::bounded`] to stress backpressure
+//! in tests. [`Machine::with_transport`] swaps the substrate per machine.
 //! Everything semantic — tag matching, epoch isolation, poison wakeups,
 //! the deadlock timeout, and all cost accounting — lives above the
 //! transport boundary, so swapping substrates cannot change a charged
 //! cost (see the [`transport`] module docs). A [`FaultyTransport`]
 //! decorator injects deterministic rank deaths, drops, and delays into
-//! either backend (see the [`fault`] module docs) for testing the
+//! any inner transport (see the [`fault`] module docs) for testing the
 //! fault-tolerant layers above.
 //!
 //! ## Critical-path cost accounting
@@ -103,7 +104,6 @@ pub mod fault;
 mod machine;
 mod mailbox;
 mod payload;
-pub mod ring;
 pub mod transport;
 mod workspace;
 
@@ -113,6 +113,5 @@ pub use executor::{Executor, ExecutorPoisoned};
 pub use fault::{FaultPlan, FaultyTransport, AUX_DEPTH_BASE, FAULT_PLAN_ENV};
 pub use machine::{Machine, Rank, RunOutput, RunStats, Totals, RECV_TIMEOUT_ENV};
 pub use payload::Payload;
-pub use ring::{RingTransport, RING_CAP_ENV};
-pub use transport::{Endpoint, Envelope, MpscTransport, RecvTimedOut, Transport, TRANSPORT_ENV};
+pub use transport::{Endpoint, Envelope, MpscTransport, RecvTimedOut, Transport};
 pub use workspace::Workspace;

@@ -8,9 +8,10 @@ use std::time::Duration;
 use crate::clock::{Clock, CostParams};
 use crate::comm::Comm;
 use crate::executor::{Executor, POISON_EPOCH};
+use crate::fault::{FaultPlan, FaultyTransport};
 use crate::mailbox::Mailbox;
 use crate::payload::Payload;
-use crate::transport::{transport_from_env, Endpoint, Envelope, Transport};
+use crate::transport::{Endpoint, Envelope, MpscTransport, Transport};
 use crate::workspace::Workspace;
 
 /// Default *base* receive timeout before a blocked `recv` is declared a
@@ -102,9 +103,10 @@ pub struct RunOutput<T> {
 
 impl Machine {
     /// A machine with `p` ranks. `p` must be at least 1. The message
-    /// substrate comes from [`TRANSPORT_ENV`](crate::TRANSPORT_ENV)
-    /// (default: the unbounded [`MpscTransport`](crate::MpscTransport));
-    /// override it per machine with [`Machine::with_transport`].
+    /// substrate is the unbounded [`MpscTransport`], wrapped in a
+    /// [`FaultyTransport`] when [`FAULT_PLAN_ENV`](crate::FAULT_PLAN_ENV)
+    /// arms a fault plan; override it per machine with
+    /// [`Machine::with_transport`].
     pub fn new(p: usize, params: CostParams) -> Self {
         assert!(p >= 1, "a machine needs at least one processor");
         let recv_base = std::env::var(RECV_TIMEOUT_ENV)
@@ -116,11 +118,16 @@ impl Machine {
             // `Duration::from_secs_f64`. 1e9 s ≈ 31 years.
             .map(|secs| Duration::from_secs_f64(secs.min(1e9)))
             .unwrap_or(DEFAULT_RECV_TIMEOUT_BASE);
+        let base: Arc<dyn Transport> = Arc::new(MpscTransport::default());
+        let transport = match FaultPlan::from_env() {
+            Some(plan) => Arc::new(FaultyTransport::wrap(base, plan)),
+            None => base,
+        };
         Machine {
             p,
             params,
             recv_base,
-            transport: transport_from_env(),
+            transport,
         }
     }
 
@@ -145,8 +152,9 @@ impl Machine {
         self
     }
 
-    /// Use `transport` as this machine's message substrate, overriding
-    /// the [`TRANSPORT_ENV`](crate::TRANSPORT_ENV) selection. Charged
+    /// Use `transport` as this machine's message substrate instead of
+    /// the default unbounded [`MpscTransport`] (and any fault plan from
+    /// [`FAULT_PLAN_ENV`](crate::FAULT_PLAN_ENV)). Charged
     /// costs are transport-independent by construction, so swapping the
     /// substrate can never change a measured (F, W, S).
     pub fn with_transport(mut self, transport: Arc<dyn Transport>) -> Self {
@@ -938,9 +946,9 @@ mod tests {
 
     #[test]
     fn transports_are_observationally_identical() {
-        // The same program over both substrates: results, per-rank
-        // clocks, and totals must agree bitwise — charged costs live
-        // entirely above the transport boundary.
+        // The same program over the unbounded and a bounded fabric:
+        // results, per-rank clocks, and totals must agree bitwise —
+        // charged costs live entirely above the transport boundary.
         let run_over = |transport: Arc<dyn crate::Transport>| {
             let m = Machine::new(4, CostParams::supercomputer()).with_transport(transport);
             m.run(|rank| {
@@ -952,10 +960,10 @@ mod tests {
                 rank.recv(&w, prev, 0)[0]
             })
         };
-        let mpsc = run_over(Arc::new(crate::MpscTransport));
-        let ring = run_over(Arc::new(crate::RingTransport::with_capacity(2)));
-        assert_eq!(mpsc.results, ring.results);
-        assert_eq!(mpsc.stats.per_rank, ring.stats.per_rank);
-        assert_eq!(mpsc.stats.totals, ring.stats.totals);
+        let unbounded = run_over(Arc::new(MpscTransport::default()));
+        let bounded = run_over(Arc::new(MpscTransport::bounded(2)));
+        assert_eq!(unbounded.results, bounded.results);
+        assert_eq!(unbounded.stats.per_rank, bounded.stats.per_rank);
+        assert_eq!(unbounded.stats.totals, bounded.stats.totals);
     }
 }

@@ -1,6 +1,5 @@
-//! The pluggable message substrate: [`Transport`] builds per-rank
-//! [`Endpoint`]s, and everything above this boundary is
-//! transport-independent.
+//! The message substrate: [`Transport`] builds per-rank [`Endpoint`]s,
+//! and everything above this boundary is transport-independent.
 //!
 //! The paper's (F, W, S) analysis only assumes point-to-point sends with
 //! α/β costs — nothing about *how* the words move. This module cuts the
@@ -15,31 +14,24 @@
 //!   transport-independent wrapper) owns everything semantic: tag/key
 //!   matching through the per-rank mailbox, epoch leak
 //!   detection, poison wakeups, the deadlock timeout policy, and the
-//!   deterministic α-β-γ clock accounting. Swapping transports therefore
-//!   cannot change a single charged flop, word, or message — the
-//!   bench gate pins `ratio/…_msgs_ring_over_mpsc` at exactly 1.
+//!   deterministic α-β-γ clock accounting. Changing how envelopes are
+//!   buffered therefore cannot change a single charged flop, word, or
+//!   message.
 //!
-//! Two in-repo backends implement the trait today: [`MpscTransport`]
-//! (unbounded `std::sync::mpsc` channels — the original fabric, extracted)
-//! and [`RingTransport`](crate::RingTransport) (bounded SPSC ring buffers
-//! with park/unpark blocking). Select one per [`Machine`](crate::Machine)
-//! with [`Machine::with_transport`](crate::Machine::with_transport) or the
-//! [`TRANSPORT_ENV`] environment variable; a future network, shared-memory
-//! segment, or fault-injecting transport plugs in the same way.
+//! The in-process substrate is [`MpscTransport`]: one `std::sync::mpsc`
+//! channel per destination rank, unbounded by default. Tests build it
+//! with [`MpscTransport::bounded`] to cap the envelopes in flight per
+//! (sender, receiver) pair, which turns every schedule into a
+//! backpressure stress case. The [`FaultyTransport`](crate::FaultyTransport)
+//! decorator plugs in through the same traits, as would a network or
+//! shared-memory backend.
 
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::time::{Duration, Instant};
 
 use crate::clock::Clock;
 use crate::payload::Payload;
-
-/// Environment variable selecting the message substrate for machines
-/// built without an explicit
-/// [`Machine::with_transport`](crate::Machine::with_transport) call:
-/// `mpsc` (default) or `ring`. Read once at
-/// [`Machine::new`](crate::Machine::new).
-pub const TRANSPORT_ENV: &str = "QR3D_TRANSPORT";
 
 /// A message on the wire: a shared payload view plus delivery metadata.
 ///
@@ -77,8 +69,7 @@ pub struct RecvTimedOut;
 /// deterministic matching relies on it) and moving the [`Envelope`] —
 /// and therefore its `Arc`-shared payload — without copying words.
 pub trait Transport: std::fmt::Debug + Send + Sync {
-    /// A short stable name (`"mpsc"`, `"ring"`) for diagnostics and the
-    /// [`TRANSPORT_ENV`] selector.
+    /// A short stable name (`"mpsc"`, `"faulty"`) for diagnostics.
     fn name(&self) -> &'static str;
 
     /// Build the fabric for `p` ranks and return one endpoint per rank,
@@ -102,7 +93,7 @@ pub trait Transport: std::fmt::Debug + Send + Sync {
 /// by a single rank thread at a time; `&mut self` encodes that.
 pub trait Endpoint: Send {
     /// Deliver `env` to rank `dst`. May block under backpressure (a
-    /// bounded transport with a full buffer) but must either complete or
+    /// bounded transport with no free slot) but must either complete or
     /// panic with a diagnostic within roughly `patience` — a sender
     /// stuck longer than the receive-deadlock window *is* a deadlock.
     /// Unbounded transports ignore `patience` and never block.
@@ -129,36 +120,32 @@ pub trait Endpoint: Send {
     }
 }
 
-/// Resolve the process-wide default transport from [`TRANSPORT_ENV`],
-/// wrapping it in a [`FaultyTransport`](crate::FaultyTransport) when
-/// [`FAULT_PLAN_ENV`](crate::FAULT_PLAN_ENV) arms a fault plan.
-pub(crate) fn transport_from_env() -> Arc<dyn Transport> {
-    let base: Arc<dyn Transport> = match std::env::var(TRANSPORT_ENV) {
-        Ok(raw) => parse_transport(&raw).unwrap_or_else(|| {
-            panic!("{TRANSPORT_ENV}={raw:?}: unknown transport (expected \"mpsc\" or \"ring\")")
-        }),
-        Err(_) => Arc::new(MpscTransport),
-    };
-    match crate::fault::FaultPlan::from_env() {
-        Some(plan) => Arc::new(crate::fault::FaultyTransport::wrap(base, plan)),
-        None => base,
-    }
-}
-
-/// Parse a [`TRANSPORT_ENV`] value; `None` for unrecognized names.
-pub(crate) fn parse_transport(name: &str) -> Option<Arc<dyn Transport>> {
-    match name.trim().to_ascii_lowercase().as_str() {
-        "" | "mpsc" => Some(Arc::new(MpscTransport)),
-        "ring" => Some(Arc::new(crate::ring::RingTransport::from_env())),
-        _ => None,
-    }
-}
-
-/// The original fabric, extracted: one unbounded `std::sync::mpsc`
-/// channel per rank. Sends never block (the channel grows); receives
-/// block on the channel's own condition variable.
+/// The in-process fabric: one `std::sync::mpsc` channel per rank.
+///
+/// The default is unbounded: sends never block (the channel grows) and
+/// receives block on the channel's own condition variable.
+/// [`MpscTransport::bounded`] adds at most `cap` envelopes in flight per
+/// ordered (sender, receiver) pair; a sender with no free slot waits for
+/// the receiver to take one of its envelopes off the channel.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct MpscTransport;
+pub struct MpscTransport {
+    cap: Option<usize>,
+}
+
+impl MpscTransport {
+    /// A fabric allowing at most `cap` undelivered envelopes per ordered
+    /// (sender, receiver) pair. A sender that finds no free slot for
+    /// longer than its patience panics with a diagnostic naming the
+    /// capacity. Meant for tests: at capacity 1 every schedule runs
+    /// under maximal backpressure.
+    ///
+    /// # Panics
+    /// If `cap` is zero (nothing could ever be delivered).
+    pub fn bounded(cap: usize) -> Self {
+        assert!(cap >= 1, "channel capacity must be at least 1");
+        MpscTransport { cap: Some(cap) }
+    }
+}
 
 impl Transport for MpscTransport {
     fn name(&self) -> &'static str {
@@ -169,35 +156,136 @@ impl Transport for MpscTransport {
         let (senders, receivers): (Vec<Sender<Envelope>>, Vec<Receiver<Envelope>>) =
             (0..p).map(|_| channel()).unzip();
         let senders = Arc::new(senders);
+        let credits = self.cap.map(|cap| Arc::new(Credits::new(p, cap)));
         receivers
             .into_iter()
-            .map(|receiver| {
+            .enumerate()
+            .map(|(me, receiver)| {
                 Box::new(MpscEndpoint {
+                    me,
                     senders: Arc::clone(&senders),
                     receiver,
+                    credits: credits.clone(),
                 }) as Box<dyn Endpoint>
             })
             .collect()
     }
 }
 
+/// No code panics while holding a credit lock, so it is never poisoned.
+const UNPOISONED: &str = "credit lock poisoned";
+
+/// Free slots per ordered (sender, receiver) pair of a bounded fabric.
+/// A sender takes a credit before it sends; the receiver returns it when
+/// it takes the envelope off its channel. Counting per pair, not per
+/// destination, means one sender's burst can never use up the slots
+/// another sender needs to make progress.
+struct Credits {
+    p: usize,
+    cap: usize,
+    /// `free[src * p + dst]`: credits `src` may still spend on `dst`.
+    free: Vec<(Mutex<usize>, Condvar)>,
+}
+
+impl Credits {
+    fn new(p: usize, cap: usize) -> Self {
+        Credits {
+            p,
+            cap,
+            free: (0..p * p)
+                .map(|_| (Mutex::new(cap), Condvar::new()))
+                .collect(),
+        }
+    }
+
+    /// The `src → dst` credit count, locked, and the condition variable
+    /// its sender waits on.
+    fn pair(&self, src: usize, dst: usize) -> (MutexGuard<'_, usize>, &Condvar) {
+        let (free, freed) = &self.free[src * self.p + dst];
+        (free.lock().expect(UNPOISONED), freed)
+    }
+
+    /// Take one `src → dst` credit, waiting up to `patience` for the
+    /// receiver to return one.
+    fn take(&self, src: usize, dst: usize, patience: Duration) {
+        // `None` when `now + patience` overflows `Instant` (e.g. the
+        // wrapper's saturated Duration::MAX window): wait unboundedly.
+        let deadline = Instant::now().checked_add(patience);
+        let (mut free, freed) = self.pair(src, dst);
+        while *free == 0 {
+            free = match deadline {
+                None => freed.wait(free).expect(UNPOISONED),
+                Some(d) => {
+                    let left = d.saturating_duration_since(Instant::now());
+                    if left.is_zero() {
+                        // Release the lock first: panicking with it held
+                        // would poison the pair for the receiver.
+                        drop(free);
+                        panic!(
+                            "rank {src} send to rank {dst} blocked for {patience:?} with no \
+                             free slot (capacity {} envelopes per pair): receiver is not \
+                             draining — deadlock",
+                            self.cap
+                        );
+                    }
+                    freed.wait_timeout(free, left).expect(UNPOISONED).0
+                }
+            };
+        }
+        *free -= 1;
+    }
+
+    /// Take one `src → dst` credit if one is free.
+    fn try_take(&self, src: usize, dst: usize) -> bool {
+        let (mut free, _) = self.pair(src, dst);
+        if *free == 0 {
+            return false;
+        }
+        *free -= 1;
+        true
+    }
+
+    /// Return one `src → dst` credit and wake a sender waiting for it.
+    fn give(&self, src: usize, dst: usize) {
+        let (mut free, freed) = self.pair(src, dst);
+        *free += 1;
+        freed.notify_one();
+    }
+}
+
 struct MpscEndpoint {
+    me: usize,
     senders: Arc<Vec<Sender<Envelope>>>,
     receiver: Receiver<Envelope>,
+    /// `Some` only on a [`MpscTransport::bounded`] fabric.
+    credits: Option<Arc<Credits>>,
 }
 
 impl Endpoint for MpscEndpoint {
-    fn send(&mut self, dst: usize, env: Envelope, _patience: Duration) {
+    fn send(&mut self, dst: usize, env: Envelope, patience: Duration) {
+        if let Some(credits) = &self.credits {
+            credits.take(self.me, dst, patience);
+        }
         self.senders[dst].send(env).expect("rank channel closed");
     }
 
     fn try_send(&mut self, dst: usize, env: Envelope) -> bool {
+        if let Some(credits) = &self.credits {
+            if !credits.try_take(self.me, dst) {
+                return false;
+            }
+        }
         self.senders[dst].send(env).is_ok()
     }
 
     fn recv(&mut self, timeout: Duration) -> Result<Envelope, RecvTimedOut> {
         match self.receiver.recv_timeout(timeout) {
-            Ok(env) => Ok(env),
+            Ok(env) => {
+                if let Some(credits) = &self.credits {
+                    credits.give(env.src_global, self.me);
+                }
+                Ok(env)
+            }
             Err(RecvTimeoutError::Timeout) => Err(RecvTimedOut),
             // Senders only drop when the executor tears down, and no
             // rank receives during teardown — but a dead peer thread
@@ -212,6 +300,7 @@ impl Endpoint for MpscEndpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::thread;
 
     fn env(src: usize, tag: u64, val: f64) -> Envelope {
         Envelope {
@@ -225,39 +314,98 @@ mod tests {
     }
 
     #[test]
-    fn mpsc_endpoints_deliver_in_fifo_order() {
-        let mut eps = MpscTransport.connect(2);
+    fn endpoints_deliver_in_fifo_order() {
+        // At capacity 2, 50 messages make the sender wait on the
+        // receiver many times over; order must survive on both fabrics.
+        for transport in [MpscTransport::default(), MpscTransport::bounded(2)] {
+            let mut eps = transport.connect(2);
+            let mut e1 = eps.pop().unwrap();
+            let mut e0 = eps.pop().unwrap();
+            let sender = thread::spawn(move || {
+                for i in 0..50 {
+                    e0.send(1, env(0, 0, i as f64), Duration::from_secs(5));
+                }
+            });
+            for i in 0..50 {
+                let got = e1.recv(Duration::from_secs(5)).unwrap();
+                assert_eq!(got.payload, vec![i as f64]);
+            }
+            sender.join().unwrap();
+            assert_eq!(e1.recv(Duration::from_millis(10)), Err(RecvTimedOut));
+        }
+    }
+
+    #[test]
+    fn full_pair_applies_backpressure() {
+        let mut eps = MpscTransport::bounded(1).connect(3);
+        let mut e2 = eps.pop().unwrap();
         let mut e1 = eps.pop().unwrap();
         let mut e0 = eps.pop().unwrap();
-        e0.send(1, env(0, 7, 1.0), Duration::from_secs(1));
-        e0.send(1, env(0, 7, 2.0), Duration::from_secs(1));
-        let a = e1.recv(Duration::from_secs(1)).unwrap();
-        let b = e1.recv(Duration::from_secs(1)).unwrap();
-        assert_eq!(a.payload, vec![1.0]);
-        assert_eq!(b.payload, vec![2.0]);
-        assert!(e1.recv(Duration::from_millis(10)).is_err(), "drained");
+        // First send uses the pair's only slot; the second must block
+        // until the receiver drains, not drop or reorder.
+        e0.send(1, env(0, 0, 1.0), Duration::from_secs(5));
+        assert!(
+            !e0.try_send(1, env(0, 0, 99.0)),
+            "full pair rejects try_send"
+        );
+        // The bound is per pair: another sender to the same receiver
+        // still has its own slot.
+        assert!(e2.try_send(1, env(2, 0, 3.0)), "other pairs stay open");
+        let blocked = thread::spawn(move || {
+            let t0 = Instant::now();
+            e0.send(1, env(0, 0, 2.0), Duration::from_secs(5));
+            t0.elapsed()
+        });
+        thread::sleep(Duration::from_millis(50));
+        let got: Vec<Vec<f64>> = (0..3)
+            .map(|_| e1.recv(Duration::from_secs(5)).unwrap().payload.to_vec())
+            .collect();
+        assert_eq!(got, vec![vec![1.0], vec![3.0], vec![2.0]]);
+        let waited = blocked.join().unwrap();
+        assert!(
+            waited >= Duration::from_millis(30),
+            "second send should have blocked (~50ms), waited {waited:?}"
+        );
     }
 
     #[test]
-    fn mpsc_preserves_payload_allocation() {
-        let mut eps = MpscTransport.connect(1);
-        let p = Payload::new(vec![3.0; 1024]);
-        let e = Envelope {
-            payload: p.clone(),
-            ..env(0, 0, 0.0)
-        };
-        eps[0].send(0, e, Duration::from_secs(1));
-        let got = eps[0].recv(Duration::from_secs(1)).unwrap();
-        assert!(got.payload.same_buffer(&p), "transit must not copy words");
+    #[should_panic(expected = "capacity 1 envelopes per pair")]
+    fn blocked_send_panics_past_patience() {
+        let mut eps = MpscTransport::bounded(1).connect(2);
+        let mut e0 = eps.remove(0);
+        e0.send(1, env(0, 0, 1.0), Duration::from_millis(50));
+        // Nobody ever receives: the second send must give up loudly.
+        e0.send(1, env(0, 0, 2.0), Duration::from_millis(50));
     }
 
     #[test]
-    fn env_parse_recognizes_backends() {
-        assert_eq!(parse_transport("mpsc").unwrap().name(), "mpsc");
-        assert_eq!(parse_transport(" MPSC ").unwrap().name(), "mpsc");
-        assert_eq!(parse_transport("").unwrap().name(), "mpsc");
-        assert_eq!(parse_transport("ring").unwrap().name(), "ring");
-        assert_eq!(parse_transport("Ring").unwrap().name(), "ring");
-        assert!(parse_transport("tcp").is_none(), "unknown names rejected");
+    #[should_panic(expected = "at least 1")]
+    fn zero_capacity_rejected() {
+        let _ = MpscTransport::bounded(0);
+    }
+
+    #[test]
+    fn self_send_is_delivered() {
+        let mut eps = MpscTransport::bounded(1).connect(1);
+        for val in [5.0, 6.0] {
+            eps[0].send(0, env(0, 1, val), Duration::from_secs(1));
+            let got = eps[0].recv(Duration::from_secs(1)).unwrap();
+            assert_eq!(got.payload, vec![val]);
+        }
+    }
+
+    #[test]
+    fn transit_preserves_payload_allocation() {
+        for transport in [MpscTransport::default(), MpscTransport::bounded(1)] {
+            let mut eps = transport.connect(1);
+            let p = Payload::new(vec![3.0; 1024]);
+            let e = Envelope {
+                payload: p.clone(),
+                ..env(0, 0, 0.0)
+            };
+            eps[0].send(0, e, Duration::from_secs(1));
+            let got = eps[0].recv(Duration::from_secs(1)).unwrap();
+            assert!(got.payload.same_buffer(&p), "transit must not copy words");
+        }
     }
 }

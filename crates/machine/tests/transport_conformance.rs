@@ -1,7 +1,8 @@
 //! Transport conformance suite: every behavioral guarantee the machine
 //! makes must hold identically over every [`Transport`] backend.
 //!
-//! Each test runs once per backend (`mpsc`, `ring`). The suite pins the
+//! Each test runs once per backend (the unbounded channel and the
+//! channel bounded per sender/receiver pair). The suite pins the
 //! wrapper semantics — FIFO matching, `recv_into` landing, zero-copy
 //! transit, epoch rejection, poison wakeup, the deadlock timeout, and
 //! the empty-mailbox / send-receive-balance invariants — so a future
@@ -14,17 +15,25 @@ use std::time::{Duration, Instant};
 
 use qr3d_machine::{
     Clock, CostParams, Envelope, FaultPlan, FaultyTransport, Machine, MpscTransport, Payload, Rank,
-    RingTransport, Transport,
+    Transport,
 };
 
-/// Every in-repo backend, by name. A deliberately tiny ring capacity is
+/// Every in-repo backend, by name. A deliberately tiny capacity is
 /// included so the backpressure path is exercised by the same programs
-/// that run uncontended over mpsc.
+/// that run uncontended over the unbounded channel.
+///
+/// The bound counts envelopes per ordered (sender, receiver) pair, not
+/// per receiver. `clocks_and_totals_are_bitwise_identical_across_backends`
+/// needs that: every rank posts all P−1 of its sends before its first
+/// receive. With one slot shared by every sender to a receiver, a
+/// second sender would wait for a rank that is itself waiting to send,
+/// and the exchange deadlocks. With one slot per pair, each of the P−1
+/// sends has a slot of its own.
 fn backends() -> Vec<(&'static str, Arc<dyn Transport>)> {
     vec![
-        ("mpsc", Arc::new(MpscTransport)),
-        ("ring", Arc::new(RingTransport::default())),
-        ("ring(cap=1)", Arc::new(RingTransport::with_capacity(1))),
+        ("mpsc", Arc::new(MpscTransport::default())),
+        ("mpsc(cap=64)", Arc::new(MpscTransport::bounded(64))),
+        ("mpsc(cap=1)", Arc::new(MpscTransport::bounded(1))),
     ]
 }
 
@@ -254,7 +263,7 @@ fn dropped_peer_times_out_instead_of_deadlocking() {
     // Satellite fix: the recv deadlock timeout lives in the
     // transport-independent wrapper, so a peer that exits without
     // sending trips a bounded, diagnostic panic on EVERY backend — the
-    // bounded ring must not hang forever.
+    // bounded channel must not hang forever.
     for (name, transport) in backends() {
         let m = Machine::new(2, CostParams::unit())
             .with_transport(transport)
@@ -287,10 +296,10 @@ fn dropped_peer_times_out_instead_of_deadlocking() {
 fn killed_peer_surfaces_as_a_clean_timeout_on_every_backend() {
     // Satellite fix: an injected mid-collective rank death must map to
     // the wrapper's bounded "deadlocked" diagnostic on EVERY backend.
-    // The hard case is ring(cap=1): the survivor keeps sending to the
-    // dead rank, whose capacity-1 ring fills after one envelope — the
-    // fault layer must drop those sends instead of parking the producer
-    // into its "full ring" panic.
+    // The hard case is mpsc(cap=1): the survivor keeps sending to the
+    // dead rank, whose one slot for that pair is used after one
+    // envelope — the fault layer must drop those sends instead of
+    // leaving the sender waiting into its "no free slot" panic.
     for (name, transport) in backends() {
         let faulty = Arc::new(FaultyTransport::wrap(
             transport,
@@ -305,8 +314,8 @@ fn killed_peer_surfaces_as_a_clean_timeout_on_every_backend() {
                 let w = rank.world();
                 if rank.id() == 0 {
                     // The first envelope kills rank 1 on delivery; the
-                    // rest target a dead rank (and would overfill a
-                    // capacity-1 ring if they were forwarded).
+                    // rest target a dead rank (and would exceed a
+                    // capacity-1 pair if they were forwarded).
                     for i in 0..6 {
                         rank.send(&w, 1, i, &[i as f64]);
                     }
@@ -322,7 +331,7 @@ fn killed_peer_surfaces_as_a_clean_timeout_on_every_backend() {
             "[{name}] death must surface as the recv timeout, got {msg:?}"
         );
         assert!(
-            !msg.contains("full ring"),
+            !msg.contains("no free slot"),
             "[{name}] sender parked behind a dead consumer: {msg:?}"
         );
         assert!(

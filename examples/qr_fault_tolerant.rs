@@ -42,7 +42,10 @@ fn main() {
     // -- Kill rank 2 at tree level 1, mid-reduction. The machine gets
     //    p + c ranks: the extra one is the checksum spare. --
     let plan = FaultPlan::new().kill_at_level(2, 1);
-    let transport = Arc::new(FaultyTransport::wrap(Arc::new(MpscTransport), plan));
+    let transport = Arc::new(FaultyTransport::wrap(
+        Arc::new(MpscTransport::default()),
+        plan,
+    ));
     let machine = Machine::new(p + c, CostParams::unit())
         .with_recv_timeout(Duration::from_secs(10))
         .with_transport(transport);
@@ -110,7 +113,7 @@ fn main() {
     let machine = Machine::new(p, params.machine)
         .with_recv_timeout(Duration::from_millis(200))
         .with_transport(Arc::new(FaultyTransport::wrap(
-            Arc::new(MpscTransport),
+            Arc::new(MpscTransport::default()),
             plan,
         )));
     let svc_cfg = ServiceConfig::new(p, params)

@@ -1,6 +1,6 @@
 //! The fault-tolerance gate: a [`FaultPlan`] kills one compute rank at
 //! every reduction-tree level it participates in, on every machine size
-//! and both transport backends — and `tsqr_factor_ft` must return
+//! over the unbounded and the bounded channel — and `tsqr_factor_ft` must return
 //! **bitwise identical** `Q` (i.e. `V`), `R`, and `T` factors to the
 //! fault-free `tsqr_factor` run, with the dead rank's share
 //! reconstructed by the checksum spare.
@@ -10,9 +10,7 @@ use std::time::Duration;
 
 use qr3d_collectives::tree::binomial_frames;
 use qr3d_core::prelude::*;
-use qr3d_machine::{
-    CostParams, FaultPlan, FaultyTransport, Machine, MpscTransport, RingTransport, Transport,
-};
+use qr3d_machine::{CostParams, FaultPlan, FaultyTransport, Machine, MpscTransport, Transport};
 use qr3d_matrix::Matrix;
 
 fn fast_cfg(c: usize) -> FtConfig {
@@ -46,8 +44,8 @@ fn reference(locs: &[Matrix], p: usize) -> Vec<QrFactors> {
 
 fn backends() -> Vec<(&'static str, Arc<dyn Transport>)> {
     vec![
-        ("mpsc", Arc::new(MpscTransport)),
-        ("ring", Arc::new(RingTransport::default())),
+        ("mpsc", Arc::new(MpscTransport::default())),
+        ("mpsc-cap64", Arc::new(MpscTransport::bounded(64))),
     ]
 }
 
@@ -125,18 +123,17 @@ fn focused_case_from_env() {
         parts[1].parse().unwrap(),
         parts[2].parse().unwrap(),
     );
-    let inner: Arc<dyn Transport> = if parts[3] == "ring" {
-        Arc::new(RingTransport::default())
-    } else {
-        Arc::new(MpscTransport)
-    };
+    let (name, inner) = backends()
+        .into_iter()
+        .find(|(name, _)| *name == parts[3])
+        .expect("backend names one of backends()");
     let locs = uniform_locals(p * 6, 4, p, 100 + p as u64);
     let reference = reference(&locs, p);
-    check_kill(parts[3], inner, &locs, &reference, p, 1, victim, level);
+    check_kill(name, inner, &locs, &reference, p, 1, victim, level);
 }
 
 /// The gated sweep: every (victim, level) pair at P ∈ {2, 4, 8}, one
-/// checksum spare, on both transports. A rank's levels are exactly the
+/// checksum spare, on every backend. A rank's levels are exactly the
 /// depths of its binomial-tree frames.
 #[test]
 fn killed_rank_at_every_tree_level_recovers_bitwise() {
@@ -185,7 +182,7 @@ fn faulted_runs_are_reproducible() {
     for _ in 0..2 {
         check_kill(
             "mpsc",
-            Arc::new(MpscTransport),
+            Arc::new(MpscTransport::default()),
             &locs,
             &reference,
             p,

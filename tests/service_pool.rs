@@ -7,7 +7,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use qr3d::prelude::*;
-use qr3d_machine::{FaultPlan, FaultyTransport, Machine, MpscTransport, RingTransport, Transport};
+use qr3d_machine::{FaultPlan, FaultyTransport, Machine, MpscTransport, Transport};
 
 fn tall(seed: u64) -> Matrix {
     Matrix::random(64, 8, seed)
@@ -238,12 +238,12 @@ fn chaos_killed_executor_is_retried(inner: Arc<dyn Transport>) {
 
 #[test]
 fn killed_executor_jobs_are_transparently_retried_mpsc() {
-    chaos_killed_executor_is_retried(Arc::new(MpscTransport));
+    chaos_killed_executor_is_retried(Arc::new(MpscTransport::default()));
 }
 
 #[test]
-fn killed_executor_jobs_are_transparently_retried_ring() {
-    chaos_killed_executor_is_retried(Arc::new(RingTransport::default()));
+fn killed_executor_jobs_are_transparently_retried_bounded() {
+    chaos_killed_executor_is_retried(Arc::new(MpscTransport::bounded(64)));
 }
 
 #[test]

@@ -26,9 +26,9 @@ fn session_on(transport: Arc<dyn Transport>, p: usize) -> Session {
 
 fn transports() -> Vec<(&'static str, Arc<dyn Transport>)> {
     vec![
-        ("mpsc", Arc::new(MpscTransport)),
-        ("ring", Arc::new(RingTransport::default())),
-        ("ring-cap2", Arc::new(RingTransport::with_capacity(2))),
+        ("mpsc", Arc::new(MpscTransport::default())),
+        ("mpsc-cap64", Arc::new(MpscTransport::bounded(64))),
+        ("mpsc-cap2", Arc::new(MpscTransport::bounded(2))),
     ]
 }
 

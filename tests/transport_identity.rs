@@ -1,8 +1,8 @@
 //! Gate: `Session::factor` results are bitwise-identical across message
 //! substrates. The transport moves envelopes; every flop, word, and
-//! clock merge happens above the [`Transport`] boundary, so swapping
-//! `mpsc` for `ring` must not perturb a single bit of Q, R, the
-//! pivoting decisions, or the charged critical path.
+//! clock merge happens above the [`Transport`] boundary, so bounding the
+//! channel per (sender, receiver) pair must not perturb a single bit of
+//! Q, R, the pivoting decisions, or the charged critical path.
 
 use std::sync::Arc;
 
@@ -24,16 +24,16 @@ fn factor_over(
 fn session_factor_is_bitwise_identical_across_transports() {
     for backend in [QrBackend::Tsqr, QrBackend::CholQr2, QrBackend::PivotQr] {
         let a = Matrix::random(512, 16, 7);
-        let mpsc = factor_over(Arc::new(MpscTransport), &a, backend);
-        for ring in [
-            RingTransport::default(),
+        let mpsc = factor_over(Arc::new(MpscTransport::default()), &a, backend);
+        for bounded in [
+            MpscTransport::bounded(64),
             // A tiny capacity forces the backpressure path through the
             // same reduction trees.
-            RingTransport::with_capacity(2),
+            MpscTransport::bounded(2),
         ] {
-            let got = factor_over(Arc::new(ring), &a, backend);
-            assert_eq!(mpsc.0, got.0, "{backend:?}: Q diverged on ring transport");
-            assert_eq!(mpsc.1, got.1, "{backend:?}: R diverged on ring transport");
+            let got = factor_over(Arc::new(bounded), &a, backend);
+            assert_eq!(mpsc.0, got.0, "{backend:?}: Q diverged on bounded channel");
+            assert_eq!(mpsc.1, got.1, "{backend:?}: R diverged on bounded channel");
             assert_eq!(mpsc.2, got.2, "{backend:?}: permutation diverged");
             assert_eq!(mpsc.3, got.3, "{backend:?}: detected_rank diverged");
             assert_eq!(mpsc.4, got.4, "{backend:?}: critical-path clock diverged");
@@ -61,7 +61,7 @@ fn batched_factorization_is_transport_independent() {
             })
             .collect::<Vec<_>>()
     };
-    let mpsc = run(Arc::new(MpscTransport));
-    let ring = run(Arc::new(RingTransport::default()));
-    assert_eq!(mpsc, ring, "fused batch Q/R diverged across transports");
+    let mpsc = run(Arc::new(MpscTransport::default()));
+    let bounded = run(Arc::new(MpscTransport::bounded(64)));
+    assert_eq!(mpsc, bounded, "fused batch Q/R diverged across transports");
 }
