@@ -404,6 +404,31 @@ pub fn streaming_vs_refactor_secs(b: usize, n: usize, p: usize, k: usize) -> (f6
     (refactor, streaming)
 }
 
+/// Wall-clock seconds of one warm `Session::factor` call each of
+/// 3D-CAQR-EG (`δ = ½`) and 2D-CAQR on the same `m × n` input over `p`
+/// ranks, after one untimed warm-up call of each. Returns
+/// `(caqr3d, caqr2d)`; both results are verified.
+pub fn caqr3d_vs_caqr2d_wall_secs(m: usize, n: usize, p: usize, seed: u64) -> (f64, f64) {
+    let a = Matrix::random(m, n, seed);
+    let mut session = Session::new(p, FactorParams::new(CostParams::laptop()));
+    let mut timed = |backend: QrBackend| {
+        session
+            .factor(&a, backend)
+            .expect("warm-up factor succeeds");
+        let t = Instant::now();
+        let out = session
+            .factor(&a, backend)
+            .expect("full-rank factor succeeds");
+        let secs = t.elapsed().as_secs_f64();
+        assert!(out.residual(&a) < TOL, "{backend:?} residual");
+        secs
+    };
+    (
+        timed(QrBackend::Caqr3d { delta: 0.5 }),
+        timed(QrBackend::Caqr2d),
+    )
+}
+
 /// Run the distributed column-pivoted QR on an `m × n` matrix over `p`
 /// ranks; verify `A·P = Q·R`, orthogonality, permutation validity, the
 /// non-increasing diagonal, and full-rank detection; return the

@@ -243,39 +243,16 @@ fn recurse(
     // b_panel's first `drop` local rows are the panel rows < nl: B₁₂.
     let b12_local = b_panel.submatrix(0, drop, 0, nr);
     assert_eq!(drop, my_top, "B₁₂ row alignment");
-    // Interleave: out_lay's local rows ascending = (rows < nl asc) then
-    // (rows ≥ nl asc)? Not necessarily — global order interleaves. Build
-    // by global index.
-    let top_rows = tl_lay.local_rows(me);
-    let bot_rows = tr_lay.local_rows(me);
-    let all_rows = out_lay.local_rows(me);
-    let mut t_src: HashMap<usize, (bool, usize)> = HashMap::new();
-    for (k, &g) in top_rows.iter().enumerate() {
-        t_src.insert(g, (true, k));
-    }
-    for (k, &g) in bot_rows.iter().enumerate() {
-        t_src.insert(g + nl, (false, k));
-    }
-    for (row_out, &g) in all_rows.iter().enumerate() {
-        let (is_top, k) = t_src[&g];
-        if is_top {
-            // T row: [T_L | T₁₂] ; R row: [R_L | B₁₂].
-            for c in 0..nl {
-                t_local[(row_out, c)] = tl_local[(k, c)];
-                r_local[(row_out, c)] = rl_local[(k, c)];
-            }
-            for c in 0..nr {
-                t_local[(row_out, nl + c)] = t12[(k, c)];
-                r_local[(row_out, nl + c)] = b12_local[(k, c)];
-            }
-        } else {
-            // T row: [0 | T_R] ; R row: [0 | R_R].
-            for c in 0..nr {
-                t_local[(row_out, nl + c)] = tr_local[(k, c)];
-                r_local[(row_out, nl + c)] = rr_local[(k, c)];
-            }
-        }
-    }
+    // out_lay's local rows, ascending, are tl_lay's local rows (all < nl)
+    // followed by tr_lay's local rows shifted by nl (all ≥ nl). So
+    // T = [[T_L, T₁₂]; [0, T_R]] and R = [[R_L, B₁₂]; [0, R_R]] are plain
+    // stacks of local row blocks.
+    t_local.set_submatrix(0, 0, &tl_local);
+    t_local.set_submatrix(0, nl, &t12);
+    t_local.set_submatrix(my_top, nl, &tr_local);
+    r_local.set_submatrix(0, 0, &rl_local);
+    r_local.set_submatrix(0, nl, &b12_local);
+    r_local.set_submatrix(my_top, nl, &rr_local);
 
     (v_local, t_local, r_local)
 }

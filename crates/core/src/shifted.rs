@@ -9,7 +9,7 @@
 //! layout (and the dmm redistributions get exact owner maps).
 
 use qr3d_matrix::Matrix;
-use qr3d_mm::brick::DistLayout;
+use qr3d_mm::brick::{DistLayout, LocalBlock, Order};
 
 /// Row-cyclic layout with a rank offset: row `i` of the `rows × cols`
 /// matrix lives on rank `(i + shift) mod p`, at local slot `i div p`
@@ -131,17 +131,12 @@ impl DistLayout for ShiftedRowCyclic {
     fn owner(&self, i: usize, _j: usize) -> usize {
         ShiftedRowCyclic::owner(self, i)
     }
-    fn entries(&self, rank: usize) -> Vec<(usize, usize)> {
-        let mut out = Vec::with_capacity(self.local_count(rank) * self.cols);
-        for i in self.local_rows(rank) {
-            for j in 0..self.cols {
-                out.push((i, j));
-            }
+    fn local_block(&self, rank: usize) -> LocalBlock {
+        LocalBlock {
+            rows: self.local_rows(rank),
+            cols: (0..self.cols).collect(),
+            order: Order::RowMajor,
         }
-        out
-    }
-    fn local_count(&self, rank: usize) -> usize {
-        ShiftedRowCyclic::local_count(self, rank) * self.cols
     }
 }
 

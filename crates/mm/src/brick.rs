@@ -6,6 +6,16 @@
 //! locally, which is what lets [`crate::redist::redistribute`] route
 //! entries without headers.
 //!
+//! **The product-set contract.** Every layout hands each rank a
+//! [`LocalBlock`]: a strictly ascending set of global rows × a strictly
+//! ascending set of global columns, stored row-major or column-major.
+//! Row-cyclic layouts own "every P-th row × all columns", bricks own a
+//! contiguous row range × a contiguous column range, and
+//! [`TransposedDist`] swaps the two sets and flips the order. The entry
+//! list ([`DistLayout::entries`]) and count ([`DistLayout::local_count`])
+//! are derived from the block, so a layout states its ownership once and
+//! the redistribution can intersect index sets instead of walking entries.
+//!
 //! The brick layouts implement Appendix B.1: for `C = A·B` with `A` of
 //! shape `I × K` and `B` of shape `K × J` on a `Q × R × S` grid,
 //!
@@ -25,10 +35,74 @@ use std::ops::Range;
 
 use crate::dmm3d::Grid3;
 
-/// A distributed layout: ownership and local-entry enumeration.
-///
-/// `entries(rank)` must enumerate the rank's entries in exactly the order
-/// they appear in the rank's local dense buffer.
+/// Storage order of a rank's local buffer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Order {
+    /// Entry `(rows[a], cols[b])` sits at `a·cols.len() + b`.
+    RowMajor,
+    /// Entry `(rows[a], cols[b])` sits at `b·rows.len() + a`.
+    ColMajor,
+}
+
+/// The entries one rank owns: every pair of `rows × cols`, both strictly
+/// ascending global indices, stored in `order`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LocalBlock {
+    /// Owned global rows, strictly ascending.
+    pub rows: Vec<usize>,
+    /// Owned global columns, strictly ascending.
+    pub cols: Vec<usize>,
+    /// Local buffer order.
+    pub order: Order,
+}
+
+impl LocalBlock {
+    /// Row-major block of contiguous row and column ranges.
+    pub fn ranges(rows: Range<usize>, cols: Range<usize>) -> Self {
+        LocalBlock {
+            rows: rows.collect(),
+            cols: cols.collect(),
+            order: Order::RowMajor,
+        }
+    }
+
+    /// The block of an idle rank.
+    pub fn empty() -> Self {
+        LocalBlock::ranges(0..0, 0..0)
+    }
+
+    /// Number of owned entries.
+    pub fn len(&self) -> usize {
+        self.rows.len() * self.cols.len()
+    }
+
+    /// Whether the rank owns nothing.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Buffer position of entry `(rows[a], cols[b])`.
+    pub fn slot(&self, a: usize, b: usize) -> usize {
+        match self.order {
+            Order::RowMajor => a * self.cols.len() + b,
+            Order::ColMajor => b * self.rows.len() + a,
+        }
+    }
+
+    /// The same buffer read as the block of the transposed matrix.
+    pub fn transposed(self) -> Self {
+        LocalBlock {
+            rows: self.cols,
+            cols: self.rows,
+            order: match self.order {
+                Order::RowMajor => Order::ColMajor,
+                Order::ColMajor => Order::RowMajor,
+            },
+        }
+    }
+}
+
+/// A distributed layout: ownership and local-buffer order.
 pub trait DistLayout {
     /// Global matrix height.
     fn rows(&self) -> usize;
@@ -38,11 +112,23 @@ pub trait DistLayout {
     fn procs(&self) -> usize;
     /// Owner rank of global entry `(i, j)`.
     fn owner(&self, i: usize, j: usize) -> usize;
+    /// The product set `rank` owns and its buffer order. Blocks of
+    /// distinct ranks are disjoint and together cover the matrix.
+    fn local_block(&self, rank: usize) -> LocalBlock;
     /// The entries owned by `rank`, in local-buffer order.
-    fn entries(&self, rank: usize) -> Vec<(usize, usize)>;
+    fn entries(&self, rank: usize) -> Vec<(usize, usize)> {
+        let b = self.local_block(rank);
+        let mut out = vec![(0, 0); b.len()];
+        for (a, &i) in b.rows.iter().enumerate() {
+            for (c, &j) in b.cols.iter().enumerate() {
+                out[b.slot(a, c)] = (i, j);
+            }
+        }
+        out
+    }
     /// Number of entries owned by `rank`.
     fn local_count(&self, rank: usize) -> usize {
-        self.entries(rank).len()
+        self.local_block(rank).len()
     }
 }
 
@@ -71,17 +157,12 @@ impl DistLayout for RowCyclicDist {
     fn owner(&self, i: usize, _j: usize) -> usize {
         self.0.owner(i)
     }
-    fn entries(&self, rank: usize) -> Vec<(usize, usize)> {
-        let mut out = Vec::with_capacity(self.0.local_count(rank) * self.0.cols());
-        for i in self.0.local_rows(rank) {
-            for j in 0..self.0.cols() {
-                out.push((i, j));
-            }
+    fn local_block(&self, rank: usize) -> LocalBlock {
+        LocalBlock {
+            rows: self.0.local_rows(rank),
+            cols: (0..self.0.cols()).collect(),
+            order: Order::RowMajor,
         }
-        out
-    }
-    fn local_count(&self, rank: usize) -> usize {
-        self.0.local_count(rank) * self.0.cols()
     }
 }
 
@@ -106,29 +187,24 @@ impl<L: DistLayout> DistLayout for TransposedDist<L> {
     fn owner(&self, i: usize, j: usize) -> usize {
         self.0.owner(j, i)
     }
-    fn entries(&self, rank: usize) -> Vec<(usize, usize)> {
-        self.0
-            .entries(rank)
-            .into_iter()
-            .map(|(i, j)| (j, i))
-            .collect()
-    }
-    fn local_count(&self, rank: usize) -> usize {
-        self.0.local_count(rank)
+    fn local_block(&self, rank: usize) -> LocalBlock {
+        self.0.local_block(rank).transposed()
     }
 }
 
-/// Common plumbing for the three brick layouts: a rank owns a contiguous
-/// row range × a contiguous column range (possibly empty for idle ranks
-/// beyond `Q·R·S`).
-fn block_entries(rows: &Range<usize>, cols: &Range<usize>) -> Vec<(usize, usize)> {
-    let mut out = Vec::with_capacity(rows.len() * cols.len());
-    for i in rows.clone() {
-        for j in cols.clone() {
-            out.push((i, j));
+/// The block of grid coordinates `coords` under a brick layout, or the
+/// empty block for idle ranks beyond `Q·R·S`.
+fn brick_block(
+    coords: Option<(usize, usize, usize)>,
+    block_of: impl Fn(usize, usize, usize) -> (Range<usize>, Range<usize>),
+) -> LocalBlock {
+    match coords {
+        Some((q, r, s)) => {
+            let (rows, cols) = block_of(q, r, s);
+            LocalBlock::ranges(rows, cols)
         }
+        None => LocalBlock::empty(),
     }
-    out
 }
 
 /// Brick layout of the left operand `A` (`I × K`): processor `(q, r, s)`
@@ -195,14 +271,8 @@ impl DistLayout for BrickA {
         let s = qr3d_matrix::partition::part_of(j, self.k, self.grid.s);
         self.grid.flat(q, r, s)
     }
-    fn entries(&self, rank: usize) -> Vec<(usize, usize)> {
-        match self.grid.coords(rank) {
-            Some((q, r, s)) => {
-                let (rows, cols) = self.block_of(q, r, s);
-                block_entries(&rows, &cols)
-            }
-            None => Vec::new(),
-        }
+    fn local_block(&self, rank: usize) -> LocalBlock {
+        brick_block(self.grid.coords(rank), |q, r, s| self.block_of(q, r, s))
     }
 }
 
@@ -240,14 +310,8 @@ impl DistLayout for BrickB {
         let r = qr3d_matrix::partition::part_of(j, self.j, self.grid.r);
         self.grid.flat(q, r, s)
     }
-    fn entries(&self, rank: usize) -> Vec<(usize, usize)> {
-        match self.grid.coords(rank) {
-            Some((q, r, s)) => {
-                let (rows, cols) = self.block_of(q, r, s);
-                block_entries(&rows, &cols)
-            }
-            None => Vec::new(),
-        }
+    fn local_block(&self, rank: usize) -> LocalBlock {
+        brick_block(self.grid.coords(rank), |q, r, s| self.block_of(q, r, s))
     }
 }
 
@@ -285,14 +349,8 @@ impl DistLayout for BrickC {
         let r = qr3d_matrix::partition::part_of(j, self.j, self.grid.r);
         self.grid.flat(q, r, s)
     }
-    fn entries(&self, rank: usize) -> Vec<(usize, usize)> {
-        match self.grid.coords(rank) {
-            Some((q, r, s)) => {
-                let (rows, cols) = self.block_of(q, r, s);
-                block_entries(&rows, &cols)
-            }
-            None => Vec::new(),
-        }
+    fn local_block(&self, rank: usize) -> LocalBlock {
+        brick_block(self.grid.coords(rank), |q, r, s| self.block_of(q, r, s))
     }
 }
 
@@ -301,14 +359,30 @@ mod tests {
     use super::*;
 
     fn check_layout(l: &dyn DistLayout) {
-        // Every entry owned exactly once, owner consistent with entries,
-        // and counts add up.
+        // Each block is a product of strictly ascending in-range index
+        // sets; the derived entries agree with `owner`, cover every entry
+        // exactly once, and the counts add up.
         let (m, n) = (l.rows(), l.cols());
         let mut seen = vec![false; m * n];
         let mut total = 0;
         for rank in 0..l.procs() {
+            let b = l.local_block(rank);
+            for (set, bound) in [(&b.rows, m), (&b.cols, n)] {
+                assert!(set.windows(2).all(|w| w[0] < w[1]), "ascending");
+                assert!(set.iter().all(|&x| x < bound), "index in range");
+            }
             let es = l.entries(rank);
             assert_eq!(es.len(), l.local_count(rank));
+            // Row-major buffers list entries by (row, col), column-major
+            // ones by (col, row).
+            let key = |&(i, j): &(usize, usize)| match b.order {
+                Order::RowMajor => (i, j),
+                Order::ColMajor => (j, i),
+            };
+            assert!(
+                es.windows(2).all(|w| key(&w[0]) < key(&w[1])),
+                "buffer order"
+            );
             for &(i, j) in &es {
                 assert!(i < m && j < n, "entry in range");
                 assert_eq!(l.owner(i, j), rank, "owner consistent at ({i},{j})");
@@ -345,6 +419,8 @@ mod tests {
             check_layout(&BrickA::new(grid, 13, 7, p));
             check_layout(&BrickB::new(grid, 7, 9, p));
             check_layout(&BrickC::new(grid, 13, 9, p));
+            check_layout(&TransposedDist(BrickA::new(grid, 13, 7, p)));
+            check_layout(&TransposedDist(BrickC::new(grid, 13, 9, p)));
         }
     }
 

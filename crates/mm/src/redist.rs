@@ -4,24 +4,34 @@
 //! row-cyclic to dmm layout [...]; the second all-to-all converts the
 //! output matrix from dmm layout to row-cyclic layout" (Section 7.2).
 //!
-//! Because both endpoints can enumerate any rank's entries under either
-//! layout (layouts are pure metadata), senders pack values in a canonical
-//! order and receivers unpack them without transmitting indices: the words
-//! charged are exactly the matrix entries moved, as in the paper's
-//! analysis.
-
-use std::collections::HashMap;
+//! Every layout owns product sets (the [`LocalBlock`] contract of
+//! [`crate::brick`]): rank `s` under `from` holds rows `Rₛ` × cols `Cₛ`,
+//! rank `d` under `to` holds `R′_d × C′_d`. So the words `s` sends `d` are
+//! exactly `(Rₛ ∩ R′_d) × (Cₛ ∩ C′_d)`, and the plan is computed in closed
+//! form from index-set intersections:
+//!
+//! * the `P × P` block sizes are `|Rₛ ∩ R′_d| · |Cₛ ∩ C′_d|`;
+//! * a sender packs its share for `d` in its own buffer order, restricted
+//!   to the intersection;
+//! * a receiver walks the same intersection in the *sender's* order and
+//!   drops each value at its own buffer position.
+//!
+//! Each rank does `O(P · Σᵣ (|Rᵣ| + |Cᵣ|))` index work — linear in the
+//! layouts' index lists, independent of how many entries other ranks own
+//! — plus `O(local)` copies. Both endpoints derive the same order, so no
+//! indices travel: the words charged are exactly the matrix entries moved,
+//! as in the paper's analysis.
 
 use qr3d_collectives::alltoall::all_to_all;
 use qr3d_collectives::BlockSizes;
 use qr3d_machine::{Comm, Rank};
 
-use crate::brick::DistLayout;
+use crate::brick::{DistLayout, LocalBlock, Order};
 
 /// Convert this rank's local buffer from layout `from` to layout `to`
 /// using one two-phase all-to-all. `local` must hold this rank's entries
-/// in `from.entries(rank)` order; the result holds them in
-/// `to.entries(rank)` order.
+/// in `from`'s buffer order ([`DistLayout::entries`]); the result holds
+/// them in `to`'s.
 pub fn redistribute(
     rank: &mut Rank,
     comm: &Comm,
@@ -36,45 +46,92 @@ pub fn redistribute(
     assert_eq!(from.rows(), to.rows(), "layout shape mismatch");
     assert_eq!(from.cols(), to.cols(), "layout shape mismatch");
 
-    let my_entries = from.entries(me);
-    assert_eq!(local.len(), my_entries.len(), "local buffer size mismatch");
-
-    // Pack outgoing blocks in enumeration order.
-    let mut blocks: Vec<Vec<f64>> = (0..p).map(|_| Vec::new()).collect();
-    for (&v, &(i, j)) in local.iter().zip(&my_entries) {
-        blocks[to.owner(i, j)].push(v);
-    }
+    let src: Vec<LocalBlock> = (0..p).map(|r| from.local_block(r)).collect();
+    let dst: Vec<LocalBlock> = (0..p).map(|r| to.local_block(r)).collect();
+    assert_eq!(local.len(), src[me].len(), "local buffer size mismatch");
 
     // Every rank derives the full size matrix from the layouts.
-    let mut counts = vec![0usize; p * p];
-    for s in 0..p {
-        for (i, j) in from.entries(s) {
-            counts[s * p + to.owner(i, j)] += 1;
-        }
-    }
-    let sizes = BlockSizes::from_fn(p, |s, d| counts[s * p + d]);
+    let sizes = BlockSizes::from_fn(p, |s, d| {
+        overlap_len(&src[s].rows, &dst[d].rows) * overlap_len(&src[s].cols, &dst[d].cols)
+    });
+
+    let blocks: Vec<Vec<f64>> = (0..p)
+        .map(|d| {
+            let mut block = Vec::with_capacity(sizes.get(me, d));
+            for_each_shared(&src[me], &dst[d], |from_slot, _| {
+                block.push(local[from_slot])
+            });
+            block
+        })
+        .collect();
 
     let incoming = all_to_all(rank, comm, blocks, &sizes);
 
-    // Unpack: the values from source s arrive in s's enumeration order,
-    // restricted to the entries I own under `to`.
-    let to_entries = to.entries(me);
-    let mut pos: HashMap<(usize, usize), usize> = HashMap::with_capacity(to_entries.len());
-    for (idx, &e) in to_entries.iter().enumerate() {
-        pos.insert(e, idx);
-    }
-    let mut out = vec![0.0; to_entries.len()];
+    // The values from source s arrive in s's buffer order, restricted to
+    // the entries I own under `to`.
+    let mut out = vec![0.0; dst[me].len()];
     for (s, bundle) in incoming.iter().enumerate() {
-        let mut it = bundle.iter();
-        for (i, j) in from.entries(s) {
-            if to.owner(i, j) == me {
-                let v = *it.next().expect("bundle shorter than expected");
-                out[pos[&(i, j)]] = v;
-            }
-        }
-        assert!(it.next().is_none(), "bundle longer than expected");
+        assert_eq!(bundle.len(), sizes.get(s, me), "bundle size mismatch");
+        let mut next = bundle.iter();
+        for_each_shared(&src[s], &dst[me], |_, to_slot| {
+            out[to_slot] = *next.next().expect("bundle length checked above");
+        });
     }
     out
+}
+
+/// Call `f(slot in a, slot in b)` for every entry both blocks own, in
+/// `a`'s buffer order.
+fn for_each_shared(a: &LocalBlock, b: &LocalBlock, mut f: impl FnMut(usize, usize)) {
+    let rows = overlap(&a.rows, &b.rows);
+    let cols = overlap(&a.cols, &b.cols);
+    match a.order {
+        Order::RowMajor => {
+            for &(ra, rb) in &rows {
+                for &(ca, cb) in &cols {
+                    f(a.slot(ra, ca), b.slot(rb, cb));
+                }
+            }
+        }
+        Order::ColMajor => {
+            for &(ca, cb) in &cols {
+                for &(ra, rb) in &rows {
+                    f(a.slot(ra, ca), b.slot(rb, cb));
+                }
+            }
+        }
+    }
+}
+
+/// Positions `(in x, in y)` of the common elements of two strictly
+/// ascending lists, ascending.
+fn overlap(x: &[usize], y: &[usize]) -> Vec<(usize, usize)> {
+    let mut out = Vec::new();
+    merge_common(x, y, |a, b| out.push((a, b)));
+    out
+}
+
+/// Number of common elements of two strictly ascending lists.
+fn overlap_len(x: &[usize], y: &[usize]) -> usize {
+    let mut n = 0;
+    merge_common(x, y, |_, _| n += 1);
+    n
+}
+
+/// Two-pointer merge: call `f(a, b)` for every `x[a] == y[b]`.
+fn merge_common(x: &[usize], y: &[usize], mut f: impl FnMut(usize, usize)) {
+    let (mut a, mut b) = (0, 0);
+    while a < x.len() && b < y.len() {
+        match x[a].cmp(&y[b]) {
+            std::cmp::Ordering::Less => a += 1,
+            std::cmp::Ordering::Greater => b += 1,
+            std::cmp::Ordering::Equal => {
+                f(a, b);
+                a += 1;
+                b += 1;
+            }
+        }
+    }
 }
 
 #[cfg(test)]

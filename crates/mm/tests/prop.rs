@@ -1,9 +1,12 @@
 //! Property tests: the distributed multiplies agree with the serial
 //! product for arbitrary dimensions, grids, and processor counts, and
-//! redistribution between arbitrary layout pairs is lossless.
+//! redistribution between arbitrary layout pairs is lossless and
+//! bitwise identical to the entry-enumeration reference.
+
+mod reference;
 
 use proptest::prelude::*;
-use qr3d_machine::{CostParams, Machine};
+use qr3d_machine::{Clock, CostParams, Machine};
 use qr3d_matrix::gemm::matmul;
 use qr3d_matrix::layout::BlockRow;
 use qr3d_matrix::Matrix;
@@ -12,8 +15,96 @@ use qr3d_mm::dmm1d::{dmm1d_broadcast, dmm1d_reduce};
 use qr3d_mm::dmm3d::{dmm3d, dmm3d_redistributed, Grid3};
 use qr3d_mm::redist::redistribute;
 
+use reference::{redistribute_reference, Redistribute};
+
+/// Every `DistLayout` this crate defines for an `m × n` matrix over `p`
+/// ranks, the bricks on `grid`.
+fn all_layouts(m: usize, n: usize, p: usize, grid: Grid3) -> Vec<Box<dyn DistLayout + Sync>> {
+    vec![
+        Box::new(RowCyclicDist::new(m, n, p)),
+        Box::new(BrickA::new(grid, m, n, p)),
+        Box::new(BrickB::new(grid, m, n, p)),
+        Box::new(BrickC::new(grid, m, n, p)),
+        Box::new(TransposedDist(RowCyclicDist::new(n, m, p))),
+        Box::new(TransposedDist(BrickA::new(grid, n, m, p))),
+        Box::new(TransposedDist(BrickB::new(grid, n, m, p))),
+        Box::new(TransposedDist(BrickC::new(grid, n, m, p))),
+    ]
+}
+
+/// Run `f` for every `(from, to)` pair, one after another on one
+/// machine; per rank, each call's output buffer and the clock after it.
+fn run_pairs(
+    f: Redistribute,
+    p: usize,
+    full: &Matrix,
+    froms: &[Box<dyn DistLayout + Sync>],
+    tos: &[Box<dyn DistLayout + Sync>],
+) -> Vec<Vec<(Vec<u64>, Clock)>> {
+    let machine = Machine::new(p, CostParams::laptop());
+    let out = machine.run(|rank| {
+        let w = rank.world();
+        let me = w.rank();
+        let mut calls = Vec::new();
+        for from in froms {
+            for to in tos {
+                let local: Vec<f64> = from
+                    .entries(me)
+                    .iter()
+                    .map(|&(i, j)| full[(i, j)])
+                    .collect();
+                let res = f(rank, &w, &local, from.as_ref(), to.as_ref());
+                let expect: Vec<f64> = to.entries(me).iter().map(|&(i, j)| full[(i, j)]).collect();
+                assert_eq!(res, expect, "rank {me} holds its target entries");
+                calls.push((res.iter().map(|v| v.to_bits()).collect(), rank.clock()));
+            }
+        }
+        calls
+    });
+    out.results
+}
+
+/// `redistribute` and the reference agree bitwise, buffers and clocks,
+/// on every layout pair for an `m × n` matrix over `p` ranks. The target
+/// bricks use a permutation of `grid`, so source and target cuts differ.
+fn assert_matches_reference(m: usize, n: usize, p: usize, grid: Grid3, seed: u64) {
+    let full = Matrix::random(m, n, seed);
+    let froms = all_layouts(m, n, p, grid);
+    let tos = all_layouts(m, n, p, Grid3::new(grid.s, grid.q, grid.r));
+    let fast = run_pairs(redistribute, p, &full, &froms, &tos);
+    let reference = run_pairs(redistribute_reference, p, &full, &froms, &tos);
+    assert_eq!(fast, reference, "{m} x {n} over {p} ranks on {grid:?}");
+}
+
+#[test]
+fn redistribute_matches_reference_on_edge_shapes() {
+    // No rows, one column, a single rank, and idle ranks up to P = 9.
+    for (m, n, (q, r, s), p) in [
+        (0, 3, (1, 1, 1), 1),
+        (0, 1, (2, 1, 2), 5),
+        (7, 4, (1, 1, 1), 1),
+        (5, 1, (2, 2, 2), 9),
+        (1, 1, (3, 3, 1), 9),
+        (9, 1, (1, 3, 1), 7),
+    ] {
+        assert_matches_reference(m, n, p, Grid3::new(q, r, s), 11);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
+
+    #[test]
+    fn redistribute_is_bitwise_the_enumeration_reference(
+        m in 0usize..12, n in 1usize..7,
+        gq in 1usize..4, gr in 1usize..4, gs in 1usize..3,
+        idle in 0usize..3,
+        seed in 0u64..500,
+    ) {
+        prop_assume!(gq * gr * gs <= 9);
+        let grid = Grid3::new(gq, gr, gs);
+        assert_matches_reference(m, n, (grid.procs() + idle).min(9), grid, seed);
+    }
 
     #[test]
     fn dmm3d_matches_serial(

@@ -1,9 +1,49 @@
 //! Property-based tests (proptest) on the core invariants, across random
 //! shapes, processor counts, block sizes, and seeds.
 
+#[path = "../crates/mm/tests/reference/mod.rs"]
+mod reference;
+
 use proptest::prelude::*;
 use qr3d::matrix::layout::BlockRow;
 use qr3d::prelude::*;
+
+/// Redistribute `full` from `from` to `to` with `redistribute` and with
+/// the entry-enumeration reference; both must leave every rank the same
+/// bits and the same clock.
+fn assert_redistribution_matches_reference(
+    full: &Matrix,
+    p: usize,
+    from: &(dyn DistLayout + Sync),
+    to: &(dyn DistLayout + Sync),
+) {
+    let run = |f: reference::Redistribute| {
+        let out = Machine::new(p, CostParams::laptop()).run(|rank| {
+            let w = rank.world();
+            let local: Vec<f64> = from
+                .entries(w.rank())
+                .iter()
+                .map(|&(i, j)| full[(i, j)])
+                .collect();
+            let res = f(rank, &w, &local, from, to);
+            (
+                res.iter().map(|v| v.to_bits()).collect::<Vec<u64>>(),
+                rank.clock(),
+            )
+        });
+        out.results
+    };
+    let fast = run(redistribute);
+    for (r, (bits, _)) in fast.iter().enumerate() {
+        let expect: Vec<u64> = to
+            .entries(r)
+            .iter()
+            .map(|&(i, j)| full[(i, j)].to_bits())
+            .collect();
+        assert_eq!(bits, &expect, "rank {r} holds its target entries");
+    }
+    assert_eq!(fast, run(reference::redistribute_reference));
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
@@ -151,6 +191,31 @@ proptest! {
             let expect = to.scatter_from_full(&full, r).into_vec();
             prop_assert_eq!(res, &expect);
         }
+    }
+
+    /// 3D-CAQR-EG's own conversions — `V_L` (shifted row-cyclic, used
+    /// transposed) into the left brick, and the output brick back to
+    /// shifted row-cyclic — match the reference bitwise.
+    #[test]
+    fn shifted_redistribution_matches_reference(
+        m in 1usize..24,
+        n in 1usize..7,
+        p in 1usize..10,
+        shift in 1usize..9,
+        seed in 0u64..500,
+    ) {
+        let lay = ShiftedRowCyclic::new(m, n, p, shift);
+        let left = Grid3::choose(n, n, m, p);
+        let v_t = Matrix::random(n, m, seed);
+        assert_redistribution_matches_reference(
+            &v_t,
+            p,
+            &TransposedDist(lay.clone()),
+            &BrickA::new(left, n, m, p),
+        );
+        let out = Grid3::choose(m, n, n, p);
+        let c = Matrix::random(m, n, seed + 1);
+        assert_redistribution_matches_reference(&c, p, &BrickC::new(out, m, n, p), &lay);
     }
 
     /// The critical-path clock dominates every per-rank clock and the
